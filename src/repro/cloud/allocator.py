@@ -178,15 +178,6 @@ class AllocationService:
         clusters = self.topology.regions[region].clusters if region in self.topology.regions else []
         return sorted(clusters, key=lambda c: c.utilization)
 
-    def _feasible_nodes(
-        self, cluster: Cluster, cores: float, memory_gb: float
-    ) -> list[Node]:
-        return [
-            node
-            for node in cluster.nodes
-            if node.node_id not in self._down_nodes and node.can_host(cores, memory_gb)
-        ]
-
     def _choose_node(
         self,
         cluster: Cluster,
@@ -194,20 +185,35 @@ class AllocationService:
         memory_gb: float,
         deployment_id: int,
     ) -> Node | None:
-        feasible = self._feasible_nodes(cluster, cores, memory_gb)
-        if not feasible:
-            return None
-        if self.policy is PlacementPolicy.RANDOM:
-            return feasible[int(self._rng.integers(len(feasible)))]
-        if self.policy is PlacementPolicy.BEST_FIT:
-            return min(feasible, key=lambda n: (n.free_cores - cores, n.node_id))
-        # SPREAD: least-loaded rack w.r.t. this deployment, then best-fit.
-        def rack_load(node: Node) -> int:
-            return self._deployment_rack_count.get((deployment_id, node.rack_id), 0)
+        """The node the policy picks among the cluster's fitting, up nodes.
 
-        min_load = min(rack_load(node) for node in feasible)
-        candidates = [node for node in feasible if rack_load(node) == min_load]
-        return min(candidates, key=lambda n: (n.free_cores - cores, n.node_id))
+        SPREAD takes the least ``(deployment, rack)`` count, then the least
+        ``(free_cores - cores, node_id)``; BEST_FIT drops the rack count;
+        RANDOM draws uniformly from the fitting nodes in ``cluster.nodes``
+        order.  Each rack's placement index yields its best fit directly, so
+        only one candidate per rack is compared.
+        """
+        down = self._down_nodes
+        if self.policy is PlacementPolicy.RANDOM:
+            fitting = cluster.fitting_nodes(cores, memory_gb, down)
+            if not fitting:
+                return None
+            return fitting[int(self._rng.integers(len(fitting)))]
+        spread = self.policy is PlacementPolicy.SPREAD
+        counts = self._deployment_rack_count
+        best: Node | None = None
+        best_key: tuple[int, float, int] | None = None
+        for rack in cluster.racks:
+            load = counts.get((deployment_id, rack.rack_id), 0) if spread else 0
+            if best_key is not None and load > best_key[0]:
+                continue
+            node = rack.best_fit(cores, memory_gb, down)
+            if node is None:
+                continue
+            key = (load, node.free_cores - cores, node.node_id)
+            if best_key is None or key < best_key:
+                best, best_key = node, key
+        return best
 
     # ------------------------------------------------------------------
     # introspection used by tests and the ablation benchmark

@@ -7,10 +7,17 @@ The hierarchy mirrors Section II of the paper:
 Datacenters are folded into regions (the paper's analyses never descend to
 the datacenter level); racks serve as fault domains for the allocator's
 spreading rule.
+
+Each cluster keeps a placement index: its node list and core capacity are
+fixed when it is built, its allocated cores are kept up to date by every
+``Node.host``/``Node.release``, and each rack keeps its nodes sorted by free
+cores.  The allocator uses the index to find the best-fitting node of a rack
+with one bisection instead of testing every node of the cluster.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.cloud.sku import DEFAULT_NODE_SKU, NodeSku
@@ -32,6 +39,10 @@ class Node:
     used_memory_gb: float = 0.0
     #: vm_id -> (cores, memory_gb) of currently hosted VMs.
     hosted: dict[int, tuple[float, float]] = field(default_factory=dict)
+    #: The cluster whose placement index tracks this node, set by Cluster.
+    #: Deliberately not a dataclass field, so eq/repr/asdict never walk
+    #: back up the hierarchy.
+    _cluster = None
 
     @property
     def free_cores(self) -> float:
@@ -58,14 +69,20 @@ class Node:
                 f"{self.node_id} (free {self.free_cores}c/{self.free_memory_gb}g)"
             )
         self.hosted[vm_id] = (cores, memory_gb)
+        old_used = self.used_cores
         self.used_cores += cores
         self.used_memory_gb += memory_gb
+        if self._cluster is not None:
+            self._cluster._reindex(self, old_used)
 
     def release(self, vm_id: int) -> None:
         """Remove a VM from this node."""
         cores, memory_gb = self.hosted.pop(vm_id)
+        old_used = self.used_cores
         self.used_cores = max(0.0, self.used_cores - cores)
         self.used_memory_gb = max(0.0, self.used_memory_gb - memory_gb)
+        if self._cluster is not None:
+            self._cluster._reindex(self, old_used)
 
     def to_info(self) -> NodeInfo:
         """Static snapshot for the trace store."""
@@ -80,6 +97,12 @@ class Node:
         )
 
 
+#: Bisection start below a request's core count.  Far wider than
+#: ``Node.can_host``'s 1e-9 tolerance, so no node that fits is skipped;
+#: ``can_host`` makes the actual decision for the nodes past this point.
+_SEARCH_SLACK = 1e-6
+
+
 @dataclass
 class Rack:
     """A rack: the allocator's fault domain."""
@@ -87,32 +110,93 @@ class Rack:
     rack_id: int
     cluster_id: int
     nodes: list[Node] = field(default_factory=list)
+    #: ``(free_cores, node_id, node)`` of every node, sorted; kept current
+    #: by the owning cluster.
+    by_free: list[tuple[float, int, Node]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+
+    def fitting(self, cores: float, memory_gb: float, down: set[int]) -> list[Node]:
+        """Nodes that can host the VM and are not down, by ``(free_cores, node_id)``."""
+        entries = self.by_free
+        start = bisect_left(entries, (cores - _SEARCH_SLACK,))
+        return [
+            node
+            for _free, node_id, node in entries[start:]
+            if node_id not in down and node.can_host(cores, memory_gb)
+        ]
+
+    def best_fit(self, cores: float, memory_gb: float, down: set[int]) -> Node | None:
+        """The fitting node with the least ``(free_cores - cores, node_id)``."""
+        entries = self.by_free
+        n = len(entries)
+        i = bisect_left(entries, (cores - _SEARCH_SLACK,))
+        while i < n:
+            free, node_id, node = entries[i]
+            i += 1
+            if node_id not in down and node.can_host(cores, memory_gb):
+                break
+        else:
+            return None
+        best, slack = node, free - cores
+        # Equal free cores sort by node id, so later ties cannot win.  A
+        # larger free count can only tie on ``free - cores`` by rounding;
+        # check those too so the key is honoured exactly.
+        i = bisect_left(entries, (free, float("inf")), i)
+        while i < n and entries[i][0] - cores == slack:
+            _free, node_id, node = entries[i]
+            i += 1
+            if node_id < best.node_id and node_id not in down and node.can_host(
+                cores, memory_gb
+            ):
+                best = node
+        return best
 
 
 @dataclass
 class Cluster:
-    """A cluster of identical-SKU nodes inside one region."""
+    """A cluster of identical-SKU nodes inside one region.
+
+    ``racks`` are fixed at construction: the placement index (``nodes``,
+    ``capacity_cores``, ``used_cores`` and each rack's ``by_free``) is built
+    from them then and maintained by the nodes' ``host``/``release``.
+    """
 
     cluster_id: int
     region: str
     cloud: Cloud
     node_sku: NodeSku
     racks: list[Rack] = field(default_factory=list)
+    #: All nodes across racks, in rack order.
+    nodes: list[Node] = field(init=False, repr=False, compare=False)
+    #: Total core capacity.
+    capacity_cores: float = field(init=False, repr=False, compare=False)
+    #: Currently allocated cores.
+    used_cores: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def nodes(self) -> list[Node]:
-        """All nodes across racks."""
-        return [node for rack in self.racks for node in rack.nodes]
+    def __post_init__(self) -> None:
+        self.nodes = [node for rack in self.racks for node in rack.nodes]
+        self.capacity_cores = sum(node.capacity_cores for node in self.nodes)
+        self.used_cores = sum(node.used_cores for node in self.nodes)
+        self._racks_by_id = {rack.rack_id: rack for rack in self.racks}
+        self._slot = {node.node_id: slot for slot, node in enumerate(self.nodes)}
+        for rack in self.racks:
+            rack.by_free = sorted((n.free_cores, n.node_id, n) for n in rack.nodes)
+            for node in rack.nodes:
+                node._cluster = self
 
-    @property
-    def capacity_cores(self) -> float:
-        """Total core capacity."""
-        return sum(node.capacity_cores for node in self.nodes)
+    def _reindex(self, node: Node, old_used: float) -> None:
+        """Move ``node`` to its new place after its allocation changed."""
+        entries = self._racks_by_id[node.rack_id].by_free
+        del entries[bisect_left(entries, (node.capacity_cores - old_used, node.node_id))]
+        insort(entries, (node.free_cores, node.node_id, node))
+        self.used_cores += node.used_cores - old_used
 
-    @property
-    def used_cores(self) -> float:
-        """Currently allocated cores."""
-        return sum(node.used_cores for node in self.nodes)
+    def fitting_nodes(self, cores: float, memory_gb: float, down: set[int]) -> list[Node]:
+        """Nodes that can host the VM and are not down, in ``nodes`` order."""
+        fitting = [node for rack in self.racks for node in rack.fitting(cores, memory_gb, down)]
+        fitting.sort(key=lambda node: self._slot[node.node_id])
+        return fitting
 
     @property
     def utilization(self) -> float:
@@ -252,21 +336,15 @@ def build_topology(
         )
         n_clusters = max(1, round(spec.clusters_per_region * region_spec.capacity_factor))
         for _ in range(n_clusters):
-            cluster = Cluster(
-                cluster_id=next_cluster,
-                region=region.name,
-                cloud=spec.cloud,
-                node_sku=spec.node_sku,
-            )
-            next_cluster += 1
+            racks = []
             for _ in range(spec.racks_per_cluster):
-                rack = Rack(rack_id=next_rack, cluster_id=cluster.cluster_id)
+                rack = Rack(rack_id=next_rack, cluster_id=next_cluster)
                 next_rack += 1
                 for _ in range(spec.nodes_per_rack):
                     rack.nodes.append(
                         Node(
                             node_id=next_node,
-                            cluster_id=cluster.cluster_id,
+                            cluster_id=next_cluster,
                             rack_id=rack.rack_id,
                             region=region.name,
                             cloud=spec.cloud,
@@ -275,7 +353,16 @@ def build_topology(
                         )
                     )
                     next_node += 1
-                cluster.racks.append(rack)
-            region.clusters.append(cluster)
+                racks.append(rack)
+            region.clusters.append(
+                Cluster(
+                    cluster_id=next_cluster,
+                    region=region.name,
+                    cloud=spec.cloud,
+                    node_sku=spec.node_sku,
+                    racks=racks,
+                )
+            )
+            next_cluster += 1
         topology.add_region(region)
     return topology

@@ -14,8 +14,11 @@ SKUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from repro.sampling import choice_cdf, draw
 
 
 @dataclass(frozen=True)
@@ -59,13 +62,16 @@ class SkuCatalog:
         if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
             raise ValueError("weights must be non-negative with positive sum")
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        probabilities = np.asarray(self.weights, dtype=np.float64)
+        return choice_cdf(probabilities / probabilities.sum())
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw one SKU (or ``size`` SKUs) according to the catalog weights."""
-        probabilities = np.asarray(self.weights, dtype=np.float64)
-        probabilities = probabilities / probabilities.sum()
-        idx = rng.choice(len(self.skus), size=size, p=probabilities)
+        idx = draw(self._cdf, rng, size)
         if size is None:
-            return self.skus[int(idx)]
+            return self.skus[idx]
         return [self.skus[int(i)] for i in np.atleast_1d(idx)]
 
     def by_name(self, name: str) -> VMSku:

@@ -27,6 +27,7 @@ Three pieces live here:
 from __future__ import annotations
 
 import mmap as _mmap
+import os
 from collections import OrderedDict
 from pathlib import Path
 
@@ -58,29 +59,44 @@ def _release_pages(array: np.ndarray) -> None:
         pass
 
 
+def _check_shard(path: Path, array: np.ndarray, shape: tuple[int, int]) -> None:
+    if array.dtype != np.float32 or array.shape != shape:
+        raise ValueError(
+            f"shard {path} has dtype {array.dtype} shape {array.shape}, "
+            f"expected float32 {shape}"
+        )
+
+
 class ShardMmapCache:
-    """LRU of open shard memmaps with page release on eviction."""
+    """LRU of open shard memmaps with page release on eviction.
+
+    Entries are keyed by path but remember the file they mapped (inode,
+    size and mtime): a path whose file was replaced since -- a trace
+    deleted and saved again to the same directory -- is re-mapped rather
+    than served from the old mapping.
+    """
 
     def __init__(self, capacity: int = DEFAULT_MMAP_CAPACITY) -> None:
         self.capacity = capacity
-        self._open: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._open: "OrderedDict[str, tuple[tuple[int, int, int], np.ndarray]]" = OrderedDict()
 
     def get(self, path: Path, shape: tuple[int, int]) -> np.ndarray:
         key = str(path)
-        array = self._open.get(key)
-        if array is None:
-            array = np.load(path, mmap_mode="r")
-            if array.dtype != np.float32 or array.shape != shape:
-                raise ValueError(
-                    f"shard {path} has dtype {array.dtype} shape {array.shape}, "
-                    f"expected float32 {shape}"
-                )
-            self._open[key] = array
-            while len(self._open) > self.capacity:
-                _, evicted = self._open.popitem(last=False)
-                _release_pages(evicted)
-        else:
+        stat = os.stat(key)
+        identity = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        entry = self._open.get(key)
+        if entry is not None and entry[0] == identity:
+            _check_shard(path, entry[1], shape)
             self._open.move_to_end(key)
+            return entry[1]
+        if entry is not None:
+            self.release(path)
+        array = np.load(path, mmap_mode="r")
+        _check_shard(path, array, shape)
+        self._open[key] = (identity, array)
+        while len(self._open) > self.capacity:
+            _, (_, evicted) = self._open.popitem(last=False)
+            _release_pages(evicted)
         return array
 
     def __len__(self) -> int:
@@ -88,14 +104,14 @@ class ShardMmapCache:
 
     def release(self, path: Path) -> None:
         """Drop one mapping (and its resident pages) if currently open."""
-        array = self._open.pop(str(path), None)
-        if array is not None:
-            _release_pages(array)
+        entry = self._open.pop(str(path), None)
+        if entry is not None:
+            _release_pages(entry[1])
 
     def clear(self) -> None:
         """Drop every mapping; analyses call this between heavy passes."""
         while self._open:
-            _, evicted = self._open.popitem(last=False)
+            _, (_, evicted) = self._open.popitem(last=False)
             _release_pages(evicted)
 
 

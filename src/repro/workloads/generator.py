@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import Counter, Histogram, span
+from repro.sampling import choice_cdf, draw
 from repro.cloud.allocator import PlacementPolicy
 from repro.cloud.autoscale import Autoscaler, diurnal_demand
 from repro.cloud.spot_market import SpotMarket
@@ -207,19 +208,23 @@ class TraceGenerator:
                 until=self.config.duration,
             )
 
-        self._subscriptions = self._build_subscriptions(profile, store)
-        self._bootstrap_base_pools(profile, platform, simulator)
-        self._install_churn(profile, platform, simulator)
+        cloud = str(profile.cloud)
+        with span("generate.subscriptions", cloud=cloud):
+            self._subscriptions = self._build_subscriptions(profile, store)
+        with span("generate.bootstrap", cloud=cloud):
+            self._bootstrap_base_pools(profile, platform, simulator)
+        with span("generate.churn", cloud=cloud):
+            self._install_churn(profile, platform, simulator)
         if profile.burst is not None:
             self._install_bursts(profile, platform, simulator)
         if profile.autoscale is not None:
             self._install_autoscalers(profile, platform, simulator)
 
-        with span("generate.simulate", cloud=str(profile.cloud)):
+        with span("generate.simulate", cloud=cloud):
             simulator.run(until=self.config.duration)
 
         if self.config.synthesize_utilization:
-            with span("generate.synthesize", cloud=str(profile.cloud), vms=len(store)):
+            with span("generate.synthesize", cloud=cloud, vms=len(store)):
                 self._synthesize_utilization(profile, store)
         return store
 
@@ -355,9 +360,9 @@ class TraceGenerator:
                 [sub.pool_sizes.get(region, 1) for sub in candidates],
                 dtype=np.float64,
             )
-            weights = weights / weights.sum()
+            cdf = choice_cdf(weights / weights.sum())
             for time in arrivals:
-                sub = candidates[int(rng.choice(len(candidates), p=weights))]
+                sub = candidates[draw(cdf, rng)]
                 batch = 1 + int(rng.geometric(1.0 / max(1.0, churn.batch_mean)) - 1)
                 deployment_id = self._new_deployment()
                 model = sub.lifetime_model or profile.lifetime

@@ -12,9 +12,11 @@ and noise levels controlling node-level similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from repro.sampling import choice_cdf, draw
 from repro.telemetry.schema import (
     PATTERN_DIURNAL,
     PATTERN_HOURLY_PEAK,
@@ -46,19 +48,25 @@ class ServiceArchetype:
     #: VMs", Section II).
     offering_weights: tuple[float, float, float] = (0.5, 0.3, 0.2)
 
+    @cached_property
+    def _offering_cdf(self) -> np.ndarray:
+        weights = np.asarray(self.offering_weights, dtype=np.float64)
+        return choice_cdf(weights / weights.sum())
+
+    @cached_property
+    def _patterns(self) -> tuple[tuple[str, ...], np.ndarray]:
+        patterns = tuple(self.pattern_weights)
+        weights = np.array([self.pattern_weights[p] for p in patterns], dtype=np.float64)
+        return patterns, choice_cdf(weights / weights.sum())
+
     def sample_offering(self, rng: np.random.Generator) -> str:
         """Draw the service model (iaas/paas/saas) for one subscription."""
-        labels = ("iaas", "paas", "saas")
-        weights = np.asarray(self.offering_weights, dtype=np.float64)
-        weights = weights / weights.sum()
-        return labels[int(rng.choice(3, p=weights))]
+        return ("iaas", "paas", "saas")[draw(self._offering_cdf, rng)]
 
     def sample_pattern(self, rng: np.random.Generator) -> str:
         """Draw a utilization pattern for one VM of this service."""
-        patterns = list(self.pattern_weights)
-        weights = np.array([self.pattern_weights[p] for p in patterns], dtype=np.float64)
-        weights = weights / weights.sum()
-        return patterns[int(rng.choice(len(patterns), p=weights))]
+        patterns, cdf = self._patterns
+        return patterns[draw(cdf, rng)]
 
 
 # ----------------------------------------------------------------------
@@ -224,9 +232,7 @@ def sample_service(
 ) -> ServiceArchetype:
     """Draw a service archetype from a weighted catalog."""
     weights = np.array([w for _, w in catalog], dtype=np.float64)
-    weights = weights / weights.sum()
-    idx = int(rng.choice(len(catalog), p=weights))
-    return catalog[idx][0]
+    return catalog[draw(choice_cdf(weights / weights.sum()), rng)][0]
 
 
 def expected_pattern_mix(

@@ -184,3 +184,21 @@ def test_public_cloud_autoscaled_subscriptions_cycle(small_trace):
     terminates = sum(1 for e in events if e.kind is EventKind.TERMINATE)
     assert creates > 100
     assert terminates > 100
+
+
+def test_generation_stages_have_spans():
+    """Setup stages get child spans, so little of generate.trace is unattributed."""
+    from repro.obs import export_spans, mark
+
+    bookmark = mark()
+    TraceGenerator(private_profile(), GeneratorConfig(seed=3, scale=0.05)).generate()
+    spans = export_spans(since=bookmark)
+    (root,) = [s for s in spans if s["name"] == "generate.trace"]
+    children = [s["name"] for s in spans if s["parent"] == root["index"]]
+    assert children[:4] == [
+        "generate.subscriptions",
+        "generate.bootstrap",
+        "generate.churn",
+        "generate.simulate",
+    ]
+    assert all(s["attrs"]["cloud"] == "private" for s in spans if s["parent"] == root["index"])

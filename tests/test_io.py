@@ -304,3 +304,35 @@ def test_v2_atomic_save_round_trip(populated_store, tmp_path):
     np.testing.assert_array_equal(
         loaded.utilization(1), populated_store.utilization(1)
     )
+
+
+def test_resaved_trace_at_same_path_is_not_served_stale(tmp_path):
+    """Regression: the shard cache must notice a re-saved trace.
+
+    Cache entries are keyed by path; a trace deleted and saved again to
+    the same directory has new shard files under the old names, and a
+    cache hit must not keep serving the old file's rows.
+    """
+    import shutil
+
+    from repro.workloads.generator import GeneratorConfig, TraceGenerator
+    from repro.workloads.profiles import private_profile
+
+    def generate(seed):
+        return TraceGenerator(private_profile(), GeneratorConfig(seed=seed, scale=0.05)).generate()
+
+    directory = tmp_path / "trace"
+    save_trace(generate(1), directory)
+    first = load_trace(directory)
+    first_ids = first.vm_ids_with_utilization()
+    first.utilization_matrix(first_ids)
+    shutil.rmtree(directory)
+
+    second = generate(2)
+    save_trace(second, directory)
+    loaded = load_trace(directory)
+    ids = loaded.vm_ids_with_utilization()
+    assert ids == second.vm_ids_with_utilization()
+    np.testing.assert_array_equal(
+        loaded.utilization_matrix(ids), second.utilization_matrix(ids)
+    )

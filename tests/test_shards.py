@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -79,6 +80,29 @@ class TestShardMmapCache:
         cache.get(ref.path, (3, 4))
         cache.get(other.path, (3, 4))  # evicts a.npy
         np.testing.assert_array_equal(np.asarray(cache.get(ref.path, (3, 4))), data)
+
+    def test_replaced_file_is_remapped(self, tmp_path):
+        """A hit on a path whose file was replaced maps the new file."""
+        cache = ShardMmapCache(capacity=2)
+        path = tmp_path / "a.npy"
+        write_shard(path, _rows(2, 3, seed=0))
+        cache.get(path, (2, 3))
+        path.unlink()
+        fresh = _rows(2, 3, seed=1)
+        write_shard(path, fresh)
+        # Same size and possibly a reused inode: only the mtime tells the
+        # files apart, so make sure it differs at any timestamp granularity.
+        mtime_ns = path.stat().st_mtime_ns + 10**9
+        os.utime(path, ns=(mtime_ns, mtime_ns))
+        np.testing.assert_array_equal(np.asarray(cache.get(path, (2, 3))), fresh)
+        assert len(cache) == 1
+
+    def test_hit_checks_expected_shape(self, tmp_path):
+        cache = ShardMmapCache(capacity=2)
+        ref = write_shard(tmp_path / "a.npy", _rows(2, 3))
+        cache.get(ref.path, (2, 3))
+        with pytest.raises(ValueError, match="expected float32"):
+            cache.get(ref.path, (3, 3))
 
     def test_process_cache_accessor(self):
         assert isinstance(mmap_cache(), ShardMmapCache)
