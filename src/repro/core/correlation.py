@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.stats import pairwise_pearson, pearson_correlation
+from repro.analysis.stats import pairwise_pearson
 from repro.obs import Counter
 from repro.telemetry.counters import subscription_region_vm_ids
 from repro.telemetry.schema import Cloud
@@ -101,20 +101,22 @@ def node_level_correlation(
         n_nodes += 1
         if max_nodes is not None and n_nodes > max_nodes:
             break
+        # One gather per node serves both the node sum and the correlations.
+        rows = store.utilization_matrix([vm.vm_id for vm in vms]).astype(np.float64)
         total = np.zeros(store.metadata.n_samples, dtype=np.float64)
-        for vm in vms:
-            total += vm.cores * store.utilization(vm.vm_id).astype(np.float64)
+        for vm, series in zip(vms, rows, strict=True):
+            total += vm.cores * series
         node_util = np.clip(total / node.capacity_cores, 0.0, 1.0)
-        eligible: list[tuple[int, int, int]] = []  # (vm_id, lo, hi)
-        for vm in vms:
+        eligible: list[tuple[int, int, int]] = []  # (row, lo, hi)
+        for row, vm in enumerate(vms):
             start = max(vm.created_at, 0.0)
             end = min(vm.ended_at, duration)
             if end - start < min_alive:
                 continue
             lo = int(np.ceil(start / sample_period))
             hi = int(np.floor(end / sample_period))
-            eligible.append((vm.vm_id, lo, hi))
-        for r in _node_vm_correlations(store, node_util, eligible):
+            eligible.append((row, lo, hi))
+        for r in _node_vm_correlations(rows, node_util, eligible):
             if np.isfinite(r):
                 correlations.append(r)
             else:
@@ -125,22 +127,24 @@ def node_level_correlation(
 
 
 def _node_vm_correlations(
-    store: TraceStore,
+    rows: np.ndarray,
     node_util: np.ndarray,
     eligible: list[tuple[int, int, int]],
 ) -> list[float]:
     """Pearson r of each eligible VM against its node, standardization hoisted.
 
-    The scalar path (:func:`_node_level_correlation_reference`) re-centers
-    the node slice and recomputes its self-product once per *pair*; here VMs
-    sharing an alive window are grouped so the node slice is standardized
-    once per window and the VM slices are centered as one 2-D block.  Per-pair
-    numerators stay on ``np.dot`` (``ddot``) so results are bitwise identical
-    to the scalar path -- asserted by ``tests/test_correlation_analysis.py``.
-    Results come back in ``eligible`` order.
+    ``rows`` holds the node's VM series as float64 and ``eligible`` names a
+    row and its alive window ``[lo, hi)``.  The textbook per-pair Pearson
+    re-centers the node slice and recomputes its self-product for every
+    pair; here VMs sharing an alive window are grouped so the node slice is
+    standardized once per window and the VM slices are centered as one
+    C-contiguous 2-D block.  Per-pair numerators stay on ``np.dot``
+    (``ddot``) so results are bitwise identical to the per-pair path --
+    asserted by ``tests/test_correlation_analysis.py``.  Results come back
+    in ``eligible`` order.
     """
     by_window: dict[tuple[int, int], list[int]] = {}
-    for idx, (_vm_id, lo, hi) in enumerate(eligible):
+    for idx, (_row, lo, hi) in enumerate(eligible):
         by_window.setdefault((lo, hi), []).append(idx)
     results = [float("nan")] * len(eligible)
     for (lo, hi), idxs in by_window.items():
@@ -149,9 +153,7 @@ def _node_vm_correlations(
         node_slice = node_util[lo:hi]
         node_c = node_slice - node_slice.mean()
         ss_node = np.dot(node_c, node_c)
-        block = np.empty((len(idxs), hi - lo), dtype=np.float64)
-        for row, idx in enumerate(idxs):
-            block[row] = store.utilization(eligible[idx][0])[lo:hi]
+        block = np.ascontiguousarray(rows[[eligible[idx][0] for idx in idxs], lo:hi])
         block -= block.mean(axis=1, keepdims=True)
         for row, idx in enumerate(idxs):
             denom = np.sqrt(np.dot(block[row], block[row]) * ss_node)
@@ -160,64 +162,6 @@ def _node_vm_correlations(
             r = float(np.dot(block[row], node_c) / denom)
             results[idx] = max(-1.0, min(1.0, r))
     return results
-
-
-def _node_level_correlation_reference(
-    store: TraceStore,
-    cloud: Cloud,
-    *,
-    min_alive: float | None = None,
-    max_nodes: int | None = None,
-) -> CorrelationCdf:
-    """Pre-hoisting scalar implementation of :func:`node_level_correlation`.
-
-    Kept as the reference path for the bit-compat equality tests: it
-    standardizes both series from scratch inside every pair, which is the
-    exact textbook computation the blocked kernel must reproduce bitwise.
-    """
-    if min_alive is None:
-        min_alive = 2 * SECONDS_PER_DAY
-    sample_period = store.metadata.sample_period
-    duration = store.metadata.duration
-    vms_by_node = store.vms_by_node(cloud=cloud)
-
-    correlations: list[float] = []
-    n_constant = 0
-    n_nodes = 0
-    for node_id in sorted(vms_by_node):
-        node = store.nodes.get(node_id)
-        if node is None:
-            continue
-        vms = [
-            vm for vm in vms_by_node[node_id] if store.has_utilization(vm.vm_id)
-        ]
-        if len(vms) < 2:
-            continue
-        n_nodes += 1
-        if max_nodes is not None and n_nodes > max_nodes:
-            break
-        total = np.zeros(store.metadata.n_samples, dtype=np.float64)
-        for vm in vms:
-            total += vm.cores * store.utilization(vm.vm_id).astype(np.float64)
-        node_util = np.clip(total / node.capacity_cores, 0.0, 1.0)
-        for vm in vms:
-            start = max(vm.created_at, 0.0)
-            end = min(vm.ended_at, duration)
-            if end - start < min_alive:
-                continue
-            lo = int(np.ceil(start / sample_period))
-            hi = int(np.floor(end / sample_period))
-            # lint: allow[REP007] -- scalar reference path for bit-compat tests
-            r = pearson_correlation(
-                store.utilization(vm.vm_id)[lo:hi], node_util[lo:hi]
-            )
-            if np.isfinite(r):
-                correlations.append(r)
-            else:
-                n_constant += 1
-    if not correlations:
-        raise ValueError(f"no multi-VM node of {cloud} has usable telemetry")
-    return _correlation_cdf(correlations, n_constant)
 
 
 def region_level_correlation(

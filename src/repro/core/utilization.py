@@ -95,7 +95,16 @@ def daily_percentiles(
 ) -> PercentileBands:
     """Fig. 6(c, d): utilization percentile bands folded into one day."""
     weekly = weekly_percentiles(store, cloud, percentiles=percentiles, max_vms=max_vms)
-    samples_per_day = int(SECONDS_PER_DAY // store.metadata.sample_period)
+    return fold_bands_daily(weekly, store.metadata.sample_period)
+
+
+def fold_bands_daily(weekly: PercentileBands, sample_period: float) -> PercentileBands:
+    """Fold each of :func:`weekly_percentiles`' bands into one day.
+
+    Callers that already hold the weekly bands (Fig. 6 plots both) fold
+    them here instead of recomputing them through :func:`daily_percentiles`.
+    """
+    samples_per_day = int(SECONDS_PER_DAY // sample_period)
     folded = np.vstack([fold_daily(band, samples_per_day) for band in weekly.bands])
     return PercentileBands(
         percentiles=weekly.percentiles, bands=folded, n_series=weekly.n_series

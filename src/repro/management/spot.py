@@ -49,10 +49,16 @@ class SpotEvictionModel:
             return 0.0
         return self.max_rate * ((pressure - self.knee) / (1.0 - self.knee)) ** 2
 
+    def survival_factors(self, pressures: np.ndarray) -> np.ndarray:
+        """Per-hour P(not evicted), ``1 - hourly_eviction_probability(p)``."""
+        return np.array(
+            [1.0 - self.hourly_eviction_probability(p) for p in np.atleast_1d(pressures)],
+            dtype=np.float64,
+        )
+
     def survival_probability(self, pressures: np.ndarray) -> float:
         """P(not evicted) across consecutive hourly ``pressures``."""
-        probs = [1.0 - self.hourly_eviction_probability(p) for p in np.atleast_1d(pressures)]
-        return float(np.prod(probs))
+        return float(np.prod(self.survival_factors(pressures)))
 
 
 class SpotEvictionPredictor:
@@ -119,6 +125,13 @@ class SpotAdoptionReport:
         return self.n_candidates / self.n_total_completed
 
 
+def _cores_by(times: np.ndarray, cores: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Total ``cores`` of the VMs whose ``times`` are ``<=`` each boundary."""
+    order = np.argsort(times, kind="stable")
+    cumulative = np.concatenate(([0.0], np.cumsum(cores[order])))
+    return cumulative[np.searchsorted(times[order], boundaries, side="right")]
+
+
 class SpotAdoptionAdvisor:
     """What-if: run short-lived public VMs as spot instances."""
 
@@ -140,24 +153,34 @@ class SpotAdoptionAdvisor:
         self.max_candidate_lifetime = max_candidate_lifetime
 
     def _region_pressure(self, region: str) -> np.ndarray:
-        """Hourly allocated-core fraction of one region."""
+        """Hourly allocated-core fraction of one region.
+
+        A VM counts at hour boundary ``b`` when ``created_at <= b <
+        ended_at``.  A VM never ends before it starts
+        (:meth:`TraceStore.finalize_vm` rejects that), so the cores alive at
+        ``b`` are the cores started by ``b`` minus the cores ended by ``b``:
+        two cumulative sums over the VMs sorted by start and by end, read
+        with ``searchsorted``.  Memory is a few words per VM instead of an
+        hours x VMs matrix, and every SKU has whole cores, so the float64
+        sums are exact integers -- equal to the dense count bit for bit.
+        """
         vms = self.store.vms(cloud=self.cloud, region=region)
+        n_hours = int(self.store.metadata.duration // SECONDS_PER_HOUR)
         capacity = sum(
             c.capacity_cores
             for c in self.store.clusters.values()
             if c.region == region and c.cloud == self.cloud
         )
         if not vms or capacity <= 0:
-            return np.zeros(int(self.store.metadata.duration // SECONDS_PER_HOUR))
-        starts = np.array([vm.created_at for vm in vms])
-        ends = np.array([vm.ended_at for vm in vms])
-        cores = np.array([vm.cores for vm in vms])
-        n_hours = int(self.store.metadata.duration // SECONDS_PER_HOUR)
+            return np.zeros(n_hours)
         boundaries = SECONDS_PER_HOUR * np.arange(n_hours)
-        alive = (starts[None, :] <= boundaries[:, None]) & (
-            ends[None, :] > boundaries[:, None]
+        cores = np.fromiter((vm.cores for vm in vms), np.float64, len(vms))
+        starts = np.fromiter((vm.created_at for vm in vms), np.float64, len(vms))
+        ends = np.fromiter((vm.ended_at for vm in vms), np.float64, len(vms))
+        alive_cores = _cores_by(starts, cores, boundaries) - _cores_by(
+            ends, cores, boundaries
         )
-        return (alive @ cores) / capacity
+        return alive_cores / capacity
 
     def analyze(self) -> SpotAdoptionReport:
         """Run the what-if over every completed VM of the target cloud."""
@@ -165,6 +188,14 @@ class SpotAdoptionAdvisor:
         pressures = {
             region: self._region_pressure(region)
             for region in self.store.region_names(cloud=self.cloud)
+        }
+        # Per-region invariants of the VM loop: the median pressure and the
+        # per-hour survival factors, whose slice product is exactly
+        # survival_probability(window).
+        medians = {region: np.median(p) for region, p in pressures.items()}
+        factors = {
+            region: self.eviction_model.survival_factors(p)
+            for region, p in pressures.items()
         }
         n_candidates = 0
         n_completed = 0
@@ -185,9 +216,9 @@ class SpotAdoptionAdvisor:
             pressure = pressures[vm.region]
             first = int(vm.created_at // SECONDS_PER_HOUR)
             last = min(int(vm.ended_at // SECONDS_PER_HOUR), len(pressure) - 1)
-            window = pressure[first : last + 1]
-            expected_evictions += 1.0 - self.eviction_model.survival_probability(window)
-            if window.size and window[0] < np.median(pressure):
+            survival = float(np.prod(factors[vm.region][first : last + 1]))
+            expected_evictions += 1.0 - survival
+            if first <= last and pressure[first] < medians[vm.region]:
                 valley_starts += 1
         if total_core_hours <= 0:
             raise ValueError(f"no completed {self.cloud} VMs with core-hours")

@@ -2,14 +2,62 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.analysis.stats import pearson_correlation
 from repro.core import correlation as corr
 from repro.obs import MetricsScope
 from repro.telemetry.schema import Cloud, NodeInfo, RegionInfo, SubscriptionInfo
 from repro.telemetry.store import TraceStore
+from repro.timebase import SECONDS_PER_DAY
 from tests.test_store import make_vm
+
+
+def node_level_correlation_reference(store, cloud, *, max_nodes=None):
+    """Per-VM scalar oracle for :func:`corr.node_level_correlation`.
+
+    Reads each VM through ``store.utilization`` twice -- once into the node
+    sum, once per pair -- and standardizes both series from scratch inside
+    every pair with :func:`pearson_correlation`: the exact textbook
+    computation the gathered, window-blocked kernel must reproduce bitwise.
+    """
+    sample_period = store.metadata.sample_period
+    duration = store.metadata.duration
+    vms_by_node = store.vms_by_node(cloud=cloud)
+    correlations = []
+    n_constant = 0
+    n_nodes = 0
+    for node_id in sorted(vms_by_node):
+        node = store.nodes.get(node_id)
+        if node is None:
+            continue
+        vms = [vm for vm in vms_by_node[node_id] if store.has_utilization(vm.vm_id)]
+        if len(vms) < 2:
+            continue
+        n_nodes += 1
+        if max_nodes is not None and n_nodes > max_nodes:
+            break
+        total = np.zeros(store.metadata.n_samples, dtype=np.float64)
+        for vm in vms:
+            total += vm.cores * store.utilization(vm.vm_id).astype(np.float64)
+        node_util = np.clip(total / node.capacity_cores, 0.0, 1.0)
+        for vm in vms:
+            start = max(vm.created_at, 0.0)
+            end = min(vm.ended_at, duration)
+            if end - start < 2 * SECONDS_PER_DAY:
+                continue
+            lo = int(np.ceil(start / sample_period))
+            hi = int(np.floor(end / sample_period))
+            r = pearson_correlation(store.utilization(vm.vm_id)[lo:hi], node_util[lo:hi])
+            if np.isfinite(r):
+                correlations.append(r)
+            else:
+                n_constant += 1
+    cdf = corr.CorrelationCdf.from_samples(np.array(correlations))
+    return replace(cdf, n_constant_pairs=n_constant)
 
 
 @pytest.fixture()
@@ -139,7 +187,7 @@ class TestBlockedNodeCorrelationBitCompat:
     def test_matches_reference(self, correlated_store):
         self.assert_cdfs_identical(
             corr.node_level_correlation(correlated_store, Cloud.PRIVATE),
-            corr._node_level_correlation_reference(correlated_store, Cloud.PRIVATE),
+            node_level_correlation_reference(correlated_store, Cloud.PRIVATE),
         )
 
     def test_matches_reference_with_constant_vm(self, correlated_store):
@@ -150,14 +198,14 @@ class TestBlockedNodeCorrelationBitCompat:
         correlated_store.add_utilization(9, np.full(n, 0.25))
         self.assert_cdfs_identical(
             corr.node_level_correlation(correlated_store, Cloud.PRIVATE),
-            corr._node_level_correlation_reference(correlated_store, Cloud.PRIVATE),
+            node_level_correlation_reference(correlated_store, Cloud.PRIVATE),
         )
 
     def test_matches_reference_on_generated_trace(self, small_trace):
         for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
             self.assert_cdfs_identical(
                 corr.node_level_correlation(small_trace, cloud, max_nodes=40),
-                corr._node_level_correlation_reference(
+                node_level_correlation_reference(
                     small_trace, cloud, max_nodes=40
                 ),
             )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,36 @@ from repro.management.spot import (
     SpotEvictionModel,
     SpotEvictionPredictor,
 )
+from repro.telemetry.schema import Cloud, ClusterInfo
 from repro.telemetry.store import TraceStore
+from repro.timebase import SECONDS_PER_HOUR
+from tests.test_store import make_vm
+
+
+def dense_region_pressure(store, cloud, region):
+    """Hours x VMs oracle for ``SpotAdoptionAdvisor._region_pressure``.
+
+    Materializes the boolean ``alive`` matrix and multiplies it by the
+    cores vector: the direct definition the cumulative-sum kernel must
+    reproduce bit for bit.
+    """
+    vms = store.vms(cloud=cloud, region=region)
+    capacity = sum(
+        c.capacity_cores
+        for c in store.clusters.values()
+        if c.region == region and c.cloud == cloud
+    )
+    n_hours = int(store.metadata.duration // SECONDS_PER_HOUR)
+    if not vms or capacity <= 0:
+        return np.zeros(n_hours)
+    starts = np.array([vm.created_at for vm in vms])
+    ends = np.array([vm.ended_at for vm in vms])
+    cores = np.array([vm.cores for vm in vms])
+    boundaries = SECONDS_PER_HOUR * np.arange(n_hours)
+    alive = (starts[None, :] <= boundaries[:, None]) & (
+        ends[None, :] > boundaries[:, None]
+    )
+    return (alive @ cores) / capacity
 
 
 class TestEvictionModel:
@@ -95,3 +126,57 @@ class TestAdoptionAdvisor:
         strict = SpotAdoptionAdvisor(small_trace, max_candidate_lifetime=600.0).analyze()
         loose = SpotAdoptionAdvisor(small_trace, max_candidate_lifetime=86400.0).analyze()
         assert strict.n_candidates < loose.n_candidates
+
+
+class TestRegionPressure:
+    def test_matches_dense_oracle(self, small_trace):
+        for cloud in (Cloud.PRIVATE, Cloud.PUBLIC):
+            advisor = SpotAdoptionAdvisor(small_trace, cloud=cloud)
+            for region in small_trace.region_names(cloud=cloud):
+                np.testing.assert_array_equal(
+                    advisor._region_pressure(region),
+                    dense_region_pressure(small_trace, cloud, region),
+                )
+
+    def test_matches_dense_oracle_on_hour_boundaries(self):
+        # Starts and ends exactly on hour boundaries, a zero-lifetime VM, a
+        # VM that predates the window and a censored one.
+        store = TraceStore()
+        store.add_cluster(
+            ClusterInfo(
+                cluster_id=0, region="us-east", cloud=Cloud.PUBLIC, n_nodes=2,
+                node_capacity_cores=16.0, node_capacity_memory_gb=64.0,
+            )
+        )
+        spans = [
+            (0.0, 3600.0), (3600.0, 3600.0), (-7200.0, 7200.0),
+            (1800.0, float("inf")), (3600.0, 10800.0), (7199.0, 7200.0),
+        ]
+        for vm_id, (start, end) in enumerate(spans):
+            store.add_vm(
+                make_vm(vm_id, cloud=Cloud.PUBLIC, cores=2.0 + vm_id,
+                        created_at=start, ended_at=end)
+            )
+        advisor = SpotAdoptionAdvisor(store)
+        np.testing.assert_array_equal(
+            advisor._region_pressure("us-east"),
+            dense_region_pressure(store, Cloud.PUBLIC, "us-east"),
+        )
+
+    def test_peak_memory_is_a_few_words_per_vm(self, small_trace):
+        # tracemalloc peaks are deterministic, unlike wall time.  An
+        # hours x VMs matrix costs ~9 bytes per VM-hour (over 1,500 per VM
+        # for a week); the cumulative-sum kernel needs well under 256.
+        advisor = SpotAdoptionAdvisor(small_trace)
+        region = max(
+            small_trace.region_names(cloud=Cloud.PUBLIC),
+            key=lambda r: len(small_trace.vms(cloud=Cloud.PUBLIC, region=r)),
+        )
+        n_vms = len(small_trace.vms(cloud=Cloud.PUBLIC, region=region))
+        tracemalloc.start()
+        try:
+            advisor._region_pressure(region)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n_vms <= 256, f"{peak / n_vms:.0f} bytes per VM over {n_vms} VMs"
