@@ -1,15 +1,17 @@
-"""Golden analysis outputs: im2-spot, Fig. 6 and Fig. 7(a) are pinned bitwise.
+"""Golden analysis outputs: im2-spot, Fig. 5-7(a) and the KB are pinned bitwise.
 
 ``test_golden_trace.py`` pins the generator's bytes; this file pins what
-three analysis tasks compute from them.  Each digest is the sha256 of a
-canonical byte rendering of one result:
+the analysis tasks and the knowledge base compute from them.  Each digest
+is the sha256 of a canonical byte rendering of one result:
 
 * the im2-spot :class:`SpotAdoptionReport`, every field ``repr``'d;
 * Fig. 6's four :class:`PercentileBands`, as ``bands.tobytes()`` plus
   ``n_series``;
 * Fig. 7(a)'s two :class:`CorrelationCdf` objects: ``values``,
   ``probabilities``, ``n_samples`` and ``n_constant_pairs``;
-* every check's ``(name, passed, measured)`` of those three tasks.
+* Fig. 5's ``private_mix`` and ``public_mix`` pattern shares, ``repr``'d;
+* the knowledge base, as ``WorkloadKnowledgeBase.from_trace(store).to_json()``;
+* every check's ``(name, passed, measured)`` of those tasks.
 
 A speed-up to one of these kernels must leave every digest untouched, on
 the resident store and on the same trace reloaded as memory-mapped shards.
@@ -24,7 +26,8 @@ import hashlib
 import pytest
 
 from repro.core import correlation as corr
-from repro.experiments import fig6, fig7, implications
+from repro.core.knowledge_base import WorkloadKnowledgeBase
+from repro.experiments import fig5, fig6, fig7, implications
 from repro.telemetry.io import load_trace, save_trace
 from repro.telemetry.schema import Cloud
 from repro.telemetry.shards import ShardRef
@@ -40,6 +43,10 @@ _GOLDEN = {
     "fig7a.private": "f03c28ec08130a7edbce53311a8a210b9f7b9121a5c6aad03030aac8a6e52128",
     "fig7a.public": "d59ca5e39f0646466b91788e87069cfb44a3bbf560c07351fce941f5218b0a86",
     "fig7a.checks": "c0eb30f8b7e655118696a1aaaeeecb5163a3bb4bfb7c5241da89881b2008e724",
+    "fig5.private_mix": "4e13c26da3ef6cb7498f9ffd8f747448f93b2442c33eb465befdeafb08e8fd21",
+    "fig5.public_mix": "286ed685b91963f5144d145a6aa54f90d8aaec2eadff52563494f361c1b98df1",
+    "fig5.checks": "3863d3121f0f808b27f83a6a3e2d6e489875e95b32a7374521e49948662af9ec",
+    "kb.json": "7515eb34867a3a3e6ff3c721e0ba90ed954c300d8452f27bc769e2756576d01e",
 }
 
 
@@ -83,6 +90,13 @@ def _digests(store) -> dict[str, str]:
     out["fig7a.private"] = _cdf_digest(corr.node_level_correlation(store, Cloud.PRIVATE))
     out["fig7a.public"] = _cdf_digest(corr.node_level_correlation(store, Cloud.PUBLIC))
     out["fig7a.checks"] = _checks_digest(fig7.run_fig7a(store))
+
+    mix = fig5.run(store)
+    for name in ("private_mix", "public_mix"):
+        out[f"fig5.{name}"] = _sha(repr(sorted(mix.series[name].items())).encode())
+    out["fig5.checks"] = _checks_digest(mix)
+
+    out["kb.json"] = _sha(WorkloadKnowledgeBase.from_trace(store).to_json().encode())
     return out
 
 

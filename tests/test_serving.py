@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.core.knowledge_base import WorkloadKnowledgeBase
 from repro.obs import MetricsScope
 from repro.serving import (
     KnowledgeBaseService,
@@ -22,6 +23,7 @@ from repro.serving import (
     ServiceError,
     iter_ingest_records,
     replay_trace,
+    truncated_store,
 )
 
 pytestmark = pytest.mark.serving
@@ -118,6 +120,31 @@ class TestConcurrentQueries:
 
         first, second = run(scenario())
         assert json.dumps(first) == json.dumps(second)
+
+
+class TestBatchedRefresh:
+    def test_one_refresh_over_many_dirty_subscriptions_is_the_batch_kb(
+        self, small_trace
+    ):
+        """One ``refresh()`` rebuilds many dirty subscriptions together.
+
+        Their windows are classified in one batched pass, so the result
+        must be the batch KB's bytes after a cold refresh of half the
+        stream and after a second refresh that re-dirties a subset.
+        """
+        records = list(iter_ingest_records(small_trace))
+        half = len(records) // 2
+        service = KnowledgeBaseService.for_trace(small_trace)
+        service.apply_records(records[:half])
+        assert service.refresh() > 10
+        expected = WorkloadKnowledgeBase.from_trace(truncated_store(small_trace, half))
+        assert service.knowledge_base.to_json() == expected.to_json()
+
+        service.apply_records(records[half:])
+        refreshed = service.refresh()
+        assert 10 < refreshed <= len(small_trace.subscriptions)
+        expected = WorkloadKnowledgeBase.from_trace(small_trace)
+        assert service.knowledge_base.to_json() == expected.to_json()
 
 
 class TestProtocolErrors:
