@@ -166,9 +166,11 @@ def _label_from_periods(
     return PATTERN_IRREGULAR
 
 
-#: Scratch ceiling for one classification block: the float64 block plus the
-#: padded complex FFT work arrays stay within a few multiples of this.
-_CLASSIFY_BLOCK_BYTES = 64 * 1024 * 1024
+#: Float64 bytes of one classification chunk, about 32 full-week rows: the
+#: block and its padded complex FFT work arrays stay cache-resident.  On
+#: 8,518 full-week rows, 16-64 row chunks classify about twice as fast as
+#: one whole block (docs/PERFORMANCE.md, "Knowledge-base build").
+_CLASSIFY_BLOCK_BYTES = 512 * 1024
 
 
 def classify_block(
@@ -250,6 +252,37 @@ def classify_block(
     return labels
 
 
+def classify_windows(
+    windows: list[np.ndarray],
+    config: ClassifierConfig | None = None,
+    *,
+    sample_period: float = SAMPLE_PERIOD,
+) -> list[str]:
+    """Classify variable-length 1-D windows with the batched kernel.
+
+    Windows are grouped by length, and each group runs through
+    :func:`classify_block` in chunks of at most ``_CLASSIFY_BLOCK_BYTES``
+    of float64 rows; labels come back in input order.  ``classify_block``
+    is bitwise identical to the scalar classifier row by row, so neither
+    the grouping nor the chunk size can change a label.
+    """
+    by_length: dict[int, list[int]] = {}
+    for idx, window in enumerate(windows):
+        by_length.setdefault(window.size, []).append(idx)
+    labels: list[str] = [""] * len(windows)
+    for length, idxs in by_length.items():
+        rows_per_chunk = max(1, _CLASSIFY_BLOCK_BYTES // (8 * max(length, 1)))
+        for lo in range(0, len(idxs), rows_per_chunk):
+            chunk = idxs[lo : lo + rows_per_chunk]
+            block = np.empty((len(chunk), length), dtype=np.float64)
+            for row, idx in enumerate(chunk):
+                block[row] = windows[idx]
+            chunk_labels = classify_block(block, config, sample_period=sample_period)
+            for idx, label in zip(chunk, chunk_labels, strict=True):
+                labels[idx] = label
+    return labels
+
+
 @dataclass(frozen=True)
 class PatternMix:
     """Measured share of each pattern over a VM population (Fig. 5d)."""
@@ -318,39 +351,16 @@ class PatternClassifier:
             rng = np.random.default_rng(seed)
             chosen = rng.choice(len(eligible), size=max_vms, replace=False)
             eligible = [eligible[i] for i in sorted(chosen)]
-        # Group VMs by trimmed-series length so each group is classified as
-        # one batched block (one rFFT over the 2-D block instead of up to
-        # three FFTs per series), chunked to a fixed scratch budget so
-        # paper-scale sweeps stay inside the RSS envelope.  classify_block
-        # is bitwise identical to the per-series path, so grouping cannot
-        # change any label.
-        windows: dict[int, tuple[int, int]] = {}
-        by_length: dict[int, list[int]] = {}
+        windows = []
         for vm_id in eligible:
             vm = store.vm(vm_id)
             start = max(vm.created_at, 0.0)
             end = min(vm.ended_at, duration)
             lo = int(np.ceil(start / sample_period))
             hi = int(np.floor(end / sample_period))
-            windows[vm_id] = (lo, hi)
-            by_length.setdefault(hi - lo, []).append(vm_id)
-        results: dict[int, str] = {}
-        for length, vm_ids in by_length.items():
-            rows_per_chunk = max(1, _CLASSIFY_BLOCK_BYTES // (8 * max(length, 1)))
-            for i in range(0, len(vm_ids), rows_per_chunk):
-                chunk = vm_ids[i : i + rows_per_chunk]
-                block = np.empty((len(chunk), length), dtype=np.float64)
-                for row, vm_id in enumerate(chunk):
-                    lo, hi = windows[vm_id]
-                    block[row] = store.utilization(vm_id)[lo:hi]
-                chunk_labels = classify_block(
-                    block, self.config, sample_period=sample_period
-                )
-                for vm_id, label in zip(chunk, chunk_labels, strict=True):
-                    results[vm_id] = label
-        # Emit in the original eligible order so downstream iteration order
-        # (and therefore any serialized artifact) is unchanged.
-        return {vm_id: results[vm_id] for vm_id in eligible}
+            windows.append(store.utilization(vm_id)[lo:hi])
+        labels = classify_windows(windows, self.config, sample_period=sample_period)
+        return dict(zip(eligible, labels, strict=True))
 
     def pattern_mix(
         self,

@@ -12,7 +12,7 @@
 * **Refresh** is lazy and incremental: ingest only marks subscriptions
   dirty; the next query that needs knowledge records rebuilds *only* the
   dirty ones via the shared batch builder
-  (:func:`~repro.core.knowledge_base.build_subscription_record` and
+  (:func:`~repro.core.knowledge_base.build_subscription_records` and
   :func:`~repro.core.correlation.subscription_region_report`).  Because a
   subscription's record is a pure function of its current content, the
   refreshed state is byte-identical to a full batch rebuild -- the
@@ -42,10 +42,9 @@ from repro.core.correlation import subscription_region_report
 from repro.core.knowledge_base import (
     POLICY_SPOT_ADOPTION,
     WorkloadKnowledgeBase,
-    build_subscription_record,
-    classify_windows,
+    build_subscription_records,
 )
-from repro.core.patterns import ClassifierConfig
+from repro.core.patterns import ClassifierConfig, classify_windows
 from repro.experiments.faultinject import FaultKind, plan_from_env
 from repro.management.prediction import AllocationFailurePredictor
 from repro.obs import Counter, span
@@ -272,8 +271,8 @@ class KnowledgeBaseService:
             return 0
         store = self._backend.store()
         allowed = set(store.regions)
-        refreshed = 0
         with span("serving.refresh", subscriptions=len(self._dirty)):
+            items = []
             for sub_id in sorted(self._dirty):
                 sub = store.subscriptions.get(sub_id)
                 if sub is None:
@@ -289,23 +288,24 @@ class KnowledgeBaseService:
                     threshold=self._region_agnostic_threshold,
                     allowed_regions=allowed,
                 )
-                self._kb.put(
-                    build_subscription_record(
-                        store,
+                items.append(
+                    (
                         sub,
                         vms,
-                        creations=self._creations.get(sub_id, ()),
-                        region_agnostic=(
-                            None if report is None else report.region_agnostic
-                        ),
-                        classifier_config=self._classifier_config,
-                        max_classified_vms=self._max_classified_vms,
+                        self._creations.get(sub_id, ()),
+                        None if report is None else report.region_agnostic,
                     )
                 )
-                refreshed += 1
+            for record in build_subscription_records(
+                store,
+                items,
+                classifier_config=self._classifier_config,
+                max_classified_vms=self._max_classified_vms,
+            ):
+                self._kb.put(record)
             self._dirty.clear()
-        _REFRESHED_SUBS.inc(refreshed)
-        return refreshed
+        _REFRESHED_SUBS.inc(len(items))
+        return len(items)
 
     def snapshot_json(self) -> str:
         """Current knowledge, serialized exactly like the batch KB.

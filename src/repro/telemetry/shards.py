@@ -67,37 +67,61 @@ def _check_shard(path: Path, array: np.ndarray, shape: tuple[int, int]) -> None:
         )
 
 
+def _file_identity(path: str) -> tuple[int, int, int]:
+    """Inode, size and mtime: what tells a replaced file from the original."""
+    stat = os.stat(path)
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
 class ShardMmapCache:
     """LRU of open shard memmaps with page release on eviction.
 
     Entries are keyed by path but remember the file they mapped (inode,
     size and mtime): a path whose file was replaced since -- a trace
     deleted and saved again to the same directory -- is re-mapped rather
-    than served from the old mapping.
+    than served from the old mapping.  A caller that passes the identity
+    it last saw (as :class:`ShardRef` does) gets a hit without a system
+    call; any other lookup checks the file on disk.
+
+    Each entry also holds a plain ``np.ndarray`` view of its memmap:
+    indexing a plain array skips the ``np.memmap`` subclass hooks, which
+    cost several microseconds per row read.
     """
 
     def __init__(self, capacity: int = DEFAULT_MMAP_CAPACITY) -> None:
         self.capacity = capacity
-        self._open: "OrderedDict[str, tuple[tuple[int, int, int], np.ndarray]]" = OrderedDict()
+        self._open: "OrderedDict[str, tuple[tuple[int, int, int], np.memmap, np.ndarray]]" = OrderedDict()
 
-    def get(self, path: Path, shape: tuple[int, int]) -> np.ndarray:
+    def entry(
+        self,
+        path: Path,
+        shape: tuple[int, int],
+        identity: tuple[int, int, int] | None = None,
+    ) -> "tuple[tuple[int, int, int], np.memmap, np.ndarray]":
+        """``(identity, memmap, plain view)`` of one shard, mapping it if needed."""
         key = str(path)
-        stat = os.stat(key)
-        identity = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
         entry = self._open.get(key)
-        if entry is not None and entry[0] == identity:
-            _check_shard(path, entry[1], shape)
-            self._open.move_to_end(key)
-            return entry[1]
-        if entry is not None:
-            self.release(path)
-        array = np.load(path, mmap_mode="r")
-        _check_shard(path, array, shape)
-        self._open[key] = (identity, array)
-        while len(self._open) > self.capacity:
-            _, (_, evicted) = self._open.popitem(last=False)
-            _release_pages(evicted)
-        return array
+        if entry is None or entry[0] != identity:
+            identity = _file_identity(key)
+            if entry is not None and entry[0] != identity:
+                self.release(path)
+                entry = None
+        if entry is None:
+            array = np.load(key, mmap_mode="r")
+            _check_shard(path, array, shape)
+            entry = (identity, array, array.view(np.ndarray))
+            self._open[key] = entry
+            while len(self._open) > self.capacity:
+                _, (_, evicted, _) = self._open.popitem(last=False)
+                _release_pages(evicted)
+            return entry
+        _check_shard(path, entry[1], shape)
+        self._open.move_to_end(key)
+        return entry
+
+    def get(self, path: Path, shape: tuple[int, int]) -> np.memmap:
+        """The shard's memmap, checked against the file on disk."""
+        return self.entry(path, shape)[1]
 
     def __len__(self) -> int:
         return len(self._open)
@@ -111,7 +135,7 @@ class ShardMmapCache:
     def clear(self) -> None:
         """Drop every mapping; analyses call this between heavy passes."""
         while self._open:
-            _, (_, evicted) = self._open.popitem(last=False)
+            _, (_, evicted, _) = self._open.popitem(last=False)
             _release_pages(evicted)
 
 
@@ -133,14 +157,18 @@ class ShardRef:
     first real access.  Instances are freely shareable between stores
     (:meth:`TraceStore.merge` adopts blocks by reference) and picklable,
     which is what makes cross-process "attach by path" zero-copy.
+
+    The ref remembers the identity of the file it last mapped, so the
+    file is stat'ed once per ref rather than once per read.
     """
 
-    __slots__ = ("path", "n_rows", "n_cols")
+    __slots__ = ("path", "n_rows", "n_cols", "identity")
 
     def __init__(self, path: str | Path, n_rows: int, n_cols: int) -> None:
         self.path = Path(path)
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
+        self.identity: tuple[int, int, int] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -150,9 +178,18 @@ class ShardRef:
     def nbytes(self) -> int:
         return self.n_rows * self.n_cols * 4
 
-    def open(self) -> np.ndarray:
+    def _entry(self) -> "tuple[tuple[int, int, int], np.memmap, np.ndarray]":
+        entry = _MMAPS.entry(self.path, self.shape, self.identity)
+        self.identity = entry[0]
+        return entry
+
+    def open(self) -> np.memmap:
         """Memory-map the shard read-only (cached process-wide)."""
-        return _MMAPS.get(self.path, self.shape)
+        return self._entry()[1]
+
+    def array(self) -> np.ndarray:
+        """The mapped shard as a read-only plain ``np.ndarray`` view."""
+        return self._entry()[2]
 
     def release(self) -> None:
         """Drop this shard's mapping and resident pages, if open."""
@@ -166,6 +203,7 @@ class ShardRef:
         self.path = Path(path)
         self.n_rows = n_rows
         self.n_cols = n_cols
+        self.identity = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardRef({self.path.name}, {self.n_rows}x{self.n_cols})"

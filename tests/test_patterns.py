@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import patterns
 from repro.core.patterns import (
     ClassifierConfig,
     PatternClassifier,
     PatternMix,
     classify_block,
     classify_series,
+    classify_windows,
 )
 from repro.telemetry.schema import (
     Cloud,
@@ -135,6 +137,45 @@ class TestClassifyBlock:
     def test_rejects_1d(self, block):
         with pytest.raises(ValueError):
             classify_block(block[0])
+
+
+class TestClassifyWindows:
+    """Labels of classify_windows do not depend on its chunk budget."""
+
+    @pytest.fixture(scope="class")
+    def windows(self, examples, times):
+        rng = np.random.default_rng(11)
+        out = []
+        for i in range(40):
+            signal = list(examples.values())[i % len(examples)]
+            noisy = np.clip(signal + rng.normal(0, 0.03 * (i // 4 % 4), times.size), 0, 1)
+            out.append(noisy.astype(np.float32))
+        gap = np.clip(0.5 + 0.3 * rng.standard_normal(times.size), 0, 1)
+        gap[300:420] = np.nan
+        day = SAMPLES_PER_WEEK // 7
+        out += [
+            rng.uniform(0, 1, times.size),  # white noise
+            np.full(times.size, 0.4),  # constant
+            gap,  # NaN gap
+            out[0][: 2 * day - 1],  # one sample short of two days
+            out[1][: 2 * day],  # exactly two days
+            out[2][: 3 * day + 5],
+            out[3][: 3 * day + 5],
+            out[4][:0],  # empty
+            out[5][:0],
+        ]
+        return [out[i] for i in rng.permutation(len(out))]
+
+    @pytest.mark.parametrize("rows", [1, 7, 32, None])
+    def test_chunk_budget_does_not_change_labels(self, windows, monkeypatch, rows):
+        expected = [classify_series(w) for w in windows]
+        assert len(set(expected)) == 4
+        budget = 1 << 40 if rows is None else 8 * SAMPLES_PER_WEEK * rows
+        monkeypatch.setattr(patterns, "_CLASSIFY_BLOCK_BYTES", budget)
+        assert classify_windows(windows) == expected
+
+    def test_no_windows(self):
+        assert classify_windows([]) == []
 
 
 class TestPatternMix:

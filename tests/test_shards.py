@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.telemetry import shards
 from repro.telemetry.shards import (
     DEFAULT_SHARD_ROWS,
     ShardMmapCache,
@@ -103,6 +104,20 @@ class TestShardMmapCache:
         cache.get(ref.path, (2, 3))
         with pytest.raises(ValueError, match="expected float32"):
             cache.get(ref.path, (3, 3))
+
+    def test_ref_checks_its_file_once(self, tmp_path, monkeypatch):
+        """A cached read through a ref is a lookup, not a system call."""
+        ref = write_shard(tmp_path / "a.npy", _rows(2, 3))
+        calls = []
+        identity = shards._file_identity
+        monkeypatch.setattr(
+            shards, "_file_identity", lambda path: calls.append(path) or identity(path)
+        )
+        first = ref.array()
+        assert all(ref.array() is first for _ in range(5))
+        assert len(calls) == 1
+        assert type(first) is np.ndarray and not first.flags.writeable
+        ref.release()
 
     def test_process_cache_accessor(self):
         assert isinstance(mmap_cache(), ShardMmapCache)
