@@ -676,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf.add_argument(
         "--min-task-s", type=float, default=0.05,
-        help="skip the per-task gate when both medians are under this "
-        "floor (timer noise; default 0.05s)",
+        help="skip the gate when the expected time is under this floor and "
+        "the candidate exceeds it by less (timer noise; default 0.05s)",
     )
     p_perf.set_defaults(func=_cmd_bench_perf)
 
